@@ -25,7 +25,7 @@ from ..phy.antenna import ParabolicAntenna
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
 from .ap_selection import EsnrWindow
-from .cyclic_queue import CyclicQueue
+from .cyclic_queue import INDEX_MODULO, ArrivalLog, CyclicQueue
 from .messages import (
     ApHello,
     AssocSync,
@@ -129,6 +129,10 @@ class ApRadio(Radio):
 class BaseAp:
     """Common AP machinery: radio, queue stages, backhaul, beacons."""
 
+    #: Backhaul multicast sink ``(packet, src, arrival_t)``; None takes a
+    #: delivery event per multicast packet (see ``Backhaul.register``).
+    _accept_downlink = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -180,7 +184,7 @@ class BaseAp:
         self.alive = True
         #: Armed :class:`~repro.invariants.InvariantSuite` (or None).
         self.invariants = None
-        backhaul.register(node_id, self.on_backhaul)
+        backhaul.register(node_id, self.on_backhaul, self._accept_downlink)
         if self.params.beacon_interval_s:
             # Jittered start so the eight APs' beacons interleave.
             sim.schedule(
@@ -191,6 +195,7 @@ class BaseAp:
 
     # ------------------------------------------------------------- pipelines
     def add_client(self, client_id: int) -> ClientPipeline:
+        """Get-or-create the client's pipeline."""
         pipe = self.pipelines.get(client_id)
         if pipe is None:
             pipe = ClientPipeline(
@@ -349,10 +354,63 @@ class WgttAp(BaseAp):
         self.degraded_exits = 0
         self.degraded_handovers = 0
         self.flushes_applied = 0
+        #: Multicast packets not yet folded into the rings (non-serving
+        #: clients only; see :meth:`_accept_downlink`).
+        self._arrivals = ArrivalLog()
+
+    # ------------------------------------------------------ lazy arrival
+    def _accept_downlink(self, packet: Packet, src: int, t: float) -> None:
+        """Backhaul multicast sink: ``packet`` reaches this AP at ``t``.
+
+        Only a serving AP acts on arrival (ring insert, refill, kick), so
+        only it gets a wake-up event.  Every other AP logs the shared
+        packet and folds it into the ring on its next read
+        (:meth:`_absorb_arrived`); a later ``start(c, k)`` turns whatever
+        is still in flight into wake-ups.
+        """
+        pipe = self.pipelines.get(packet.dst)
+        if pipe is not None and pipe.serving:
+            self.sim.schedule_at(t, self.on_backhaul, packet, src)
+            return
+        arrivals = self._arrivals
+        arrivals.post(t, packet, src)
+        if len(arrivals) > INDEX_MODULO:
+            self._absorb_arrived()  # bound the log on a never-read AP
+
+    def _absorb_arrived(self) -> None:
+        """Fold every logged packet due by now into its client's ring.
+
+        Called before any ring read, pipeline creation, flush, crash or
+        reboot, so the rings always match what per-packet arrival events
+        would have built.  Packets that landed while the AP was down died
+        at its NIC: :meth:`fail` absorbs up to the crash, so anything
+        due while still down is dropped.
+        """
+        arrived = self._arrivals.pop_arrived(self.sim.now)
+        if not arrived or not self.alive:
+            return
+        pipelines = self.pipelines
+        for _t, packet, _src in arrived:
+            pipe = pipelines.get(packet.dst)
+            if pipe is None:
+                pipe = self.add_client(packet.dst)
+            pipe.cyclic.insert(packet)
+
+    def add_client(self, client_id: int) -> ClientPipeline:
+        if client_id not in self.pipelines:
+            # Earlier arrivals create their pipelines first, keeping the
+            # pipeline (round-robin) order of per-packet delivery.
+            self._absorb_arrived()
+        return super().add_client(client_id)
+
+    def fail(self) -> None:
+        self._absorb_arrived()
+        super().fail()
 
     def restore(self) -> None:
         if not self.alive:
             self._last_csi_report.clear()
+            self._absorb_arrived()
         super().restore()
 
     def _on_restored(self) -> None:
@@ -433,6 +491,7 @@ class WgttAp(BaseAp):
         self._hb_last = now
         self.controller_id = msg.controller
         if msg.flush:
+            self._absorb_arrived()
             for client, pipe in list(self.pipelines.items()):
                 if not pipe.serving:
                     self._flush_client(client)
@@ -442,6 +501,7 @@ class WgttAp(BaseAp):
 
     def _send_degraded_reports(self, now: float) -> None:
         """Tell the controller what this AP is serving and where the ring is."""
+        self._absorb_arrived()
         for client, pipe in self.pipelines.items():
             if not pipe.serving:
                 continue
@@ -463,7 +523,12 @@ class WgttAp(BaseAp):
             )
 
     def _flush_client(self, client: Optional[int]) -> None:
-        """Drop all queue/serving state for ``client`` (None = every client)."""
+        """Drop all queue/serving state for ``client`` (None = every client).
+
+        Packets still in flight to this AP survive: they land in the
+        fresh ring, exactly as they would have after a real flush.
+        """
+        self._absorb_arrived()
         if client is None:
             for client_id in list(self.pipelines):
                 self._flush_client(client_id)
@@ -530,6 +595,7 @@ class WgttAp(BaseAp):
         k, drain, delayed StartMsg) so the index handoff stays lossless and
         duplicate-free even with no controller arbitrating.
         """
+        self._absorb_arrived()
         self._last_local_handover[client] = now
         self.degraded_handovers += 1
         self.trace.emit(now, "degraded_handover", ap=self.node_id,
@@ -558,8 +624,8 @@ class WgttAp(BaseAp):
 
     # ------------------------------------------------------------ downlink
     def handle_downlink_data(self, packet: Packet, src: int) -> None:
-        """Tunneled packet from the controller: store it in the ring."""
-        packet.decapsulate()
+        """Wake-up: a downlink packet reached this (serving) AP."""
+        self._absorb_arrived()
         client = packet.dst
         pipe = self.pipelines.get(client)
         if pipe is None:
@@ -606,6 +672,7 @@ class WgttAp(BaseAp):
         filtered out, and its head index k is sent to the new AP after the
         kernel-query delay that Table 1 measures.
         """
+        self._absorb_arrived()
         client = msg.client
         pipe = self.pipelines.get(client)
         if pipe is None:
@@ -643,6 +710,7 @@ class WgttAp(BaseAp):
 
     def _handle_start(self, msg: StartMsg) -> None:
         """start(c, k): begin transmitting from ring index k immediately."""
+        self._absorb_arrived()
         client = msg.client
         pipe = self.pipelines.get(client)
         if pipe is None:
@@ -650,6 +718,10 @@ class WgttAp(BaseAp):
         pipe.driver.drain()
         pipe.hw.drain()
         pipe.cyclic.set_read_index(msg.index)
+        # A serving AP acts on every arrival: wake up for the packets
+        # still in flight to it.
+        for t, packet, src in self._arrivals.pop_client(client):
+            self.sim.schedule_at(t, self.on_backhaul, packet, src)
         if not pipe.serving and self.invariants is not None:
             self.invariants.on_serving_start(self.sim.now, self.node_id, client)
         pipe.serving = True

@@ -14,16 +14,26 @@ is FIFO per (controller, AP) pair, so insertion order *is* controller
 order; the queue therefore keeps the pending indices in an insertion-order
 deque and serves strictly from its head, which is unambiguous across any
 number of wraps.
+
+The controller sends each indexed packet once: every in-range AP is
+handed the *same* packet object with its own backhaul arrival time.  An
+AP that is not serving the client only needs the packet in its ring by
+the time it next reads the ring, so it parks the packet in an
+:class:`ArrivalLog` (no event) and folds the arrived prefix into its
+rings on every read.  Only the serving AP gets a wake-up per packet.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from typing import Deque, List, Optional
+from operator import itemgetter
+from typing import Deque, List, Optional, Tuple
 
 from ..net.packet import Packet
 
-__all__ = ["CyclicQueue", "INDEX_BITS", "INDEX_MODULO", "ring_distance"]
+__all__ = ["ArrivalLog", "CyclicQueue", "INDEX_BITS", "INDEX_MODULO",
+           "ring_distance"]
 
 INDEX_BITS = 12
 INDEX_MODULO = 1 << INDEX_BITS
@@ -192,6 +202,57 @@ class CyclicQueue:
                     break
         return count
 
+    def pending(self) -> List[Tuple[int, int]]:
+        """The queued (index, uid) entries, head first."""
+        self._drop_stale_head()
+        return [(e >> _UID_BITS, e & _UID_MASK) for e in self._pending]
+
     def clear(self) -> None:
         self._slots = [None] * self._size
         self._pending.clear()
+
+
+#: One posted downlink packet: (arrival time, shared packet, sender node).
+Arrival = Tuple[float, Packet, int]
+
+_arrival_time = itemgetter(0)
+
+
+class ArrivalLog:
+    """Downlink packets posted to one AP and not yet folded into its rings.
+
+    Entries stay in arrival order.  The backhaul is FIFO per sender, so
+    a post is an append unless two controllers feed the AP (an HA
+    takeover), when it is sorted in.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: Deque[Arrival] = deque()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def post(self, t: float, packet: Packet, src: int) -> None:
+        entries = self._entries
+        if entries and t < entries[-1][0]:
+            insort(entries, (t, packet, src), key=_arrival_time)
+        else:
+            entries.append((t, packet, src))
+
+    def pop_arrived(self, now: float) -> List[Arrival]:
+        """Remove and return, in arrival order, every entry due by ``now``."""
+        entries = self._entries
+        arrived = []
+        while entries and entries[0][0] <= now:
+            arrived.append(entries.popleft())
+        return arrived
+
+    def pop_client(self, client: int) -> List[Arrival]:
+        """Remove and return, in arrival order, every entry for ``client``."""
+        entries = self._entries
+        mine = [e for e in entries if e[1].dst == client]
+        if mine:
+            self._entries = deque(e for e in entries if e[1].dst != client)
+        return mine

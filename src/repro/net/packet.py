@@ -3,7 +3,12 @@
 Simulated packets carry just enough header structure to express what the
 paper's data plane does: IP/UDP/TCP endpoints, an IP identification field
 (used by the controller's uplink de-duplication), and a stack of
-encapsulation layers for the controller->AP tunnel.
+encapsulation layers for the AP<->controller tunnel.
+
+A WGTT downlink packet is one object from the server to the client: the
+controller's multicast hands the same packet to every in-range AP (the
+backhaul charges each hop the tunnel header), so every AP's ring holds
+the same ``uid`` and ``wgtt_index``.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ class Packet:
     payload:
         Protocol-specific metadata (e.g. TCP segment descriptor).
     tunnel:
-        Stack of (outer_src, outer_dst) encapsulation layers.
+        Stack of (outer_src, outer_dst) encapsulation layers (uplink and
+        baseline downlink tunnels; the WGTT multicast adds none).
     """
 
     size_bytes: int
@@ -79,30 +85,6 @@ class Packet:
         self.tunnel.append((outer_src, outer_dst))
         self.size_bytes += TUNNEL_HEADER_BYTES
         return self
-
-    def tunnel_clone(self, outer_src: int, outer_dst: int) -> "Packet":
-        """A copy of this packet encapsulated for one backhaul hop.
-
-        Fan-out fast path for the controller's multicast-to-candidate-APs
-        delivery: equivalent to ``copy.copy`` + a fresh single-layer
-        tunnel, but without the generic reduce/reconstruct machinery.
-        The clone shares ``payload`` and keeps ``uid``/``ip_id`` (it *is*
-        the same IP datagram -- de-duplication relies on that).
-        """
-        new = object.__new__(Packet)
-        new.size_bytes = self.size_bytes + TUNNEL_HEADER_BYTES
-        new.src = self.src
-        new.dst = self.dst
-        new.protocol = self.protocol
-        new.flow_id = self.flow_id
-        new.seq = self.seq
-        new.created_at = self.created_at
-        new.ip_id = self.ip_id
-        new.uid = self.uid
-        new.payload = self.payload
-        new.tunnel = [(outer_src, outer_dst)]
-        new.wgtt_index = self.wgtt_index
-        return new
 
     def decapsulate(self) -> Tuple[int, int]:
         """Strip the outermost tunnel layer, returning (outer_src, outer_dst)."""

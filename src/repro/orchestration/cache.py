@@ -46,7 +46,10 @@ __all__ = ["CACHE_SCHEMA_VERSION", "ResultCache", "default_code_salt"]
 #:    ``fault_campaign``, and queue-backed runs share cache entries with
 #:    serial ones -- old-schema entries must never be resurrected into
 #:    that shared pool.
-CACHE_SCHEMA_VERSION = 5
+#: 6: lazy downlink arrival: ``DriveSummary.events_fired`` dropped for
+#:    every WGTT downlink drive (non-serving APs no longer fire an event
+#:    per packet), so schema-5 counts must not mix with new ones.
+CACHE_SCHEMA_VERSION = 6
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 

@@ -44,7 +44,7 @@ __all__ = ["ColumnarStore", "migrate_json_cache", "STORE_VERSION"]
 
 #: Bump alongside CACHE_SCHEMA_VERSION when the summary schema changes;
 #: mismatched manifests are rejected on open rather than misread.
-STORE_VERSION = 5
+STORE_VERSION = 6
 
 DEFAULT_SHARD_SIZE = 1024
 

@@ -34,9 +34,10 @@ def test_duplicate_uid_flagged():
 
 
 def test_ring_clone_shares_uid_and_is_flagged():
-    # Per-AP ring replicas are shallow copies of one downlink packet;
-    # delivering the original AND a clone is the duplicate the cyclic
-    # index dedup must prevent.
+    # Every in-range AP's ring holds the same downlink packet object, so
+    # any second delivery of it -- here modelled by a shallow copy with
+    # the same uid -- is the duplicate the cyclic index dedup must
+    # prevent.
     suite = InvariantSuite()
     packet = udp(5)
     clone = copy.copy(packet)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.ethernet import Backhaul, BackhaulParams
-from repro.net.packet import Packet
+from repro.net.packet import TUNNEL_HEADER_BYTES, Packet
 from repro.sim.engine import Simulator
 
 
@@ -163,3 +163,78 @@ def test_link_jitter_offset_is_persistent_per_pair():
     reverse = bh._link_offset(2, 1)
     assert bh._link_offset(2, 1) == reverse
     assert len(bh._pair_offset) == 2
+
+
+# ------------------------------------------------------------- jitter draws
+def test_random_times_width_matches_uniform_draw():
+    """The backhaul draws jitter as ``rng.random() * x``; NumPy's
+    ``uniform(0.0, x)`` is ``0.0 + x * u`` on the same stream.  Pin the
+    equivalence bit for bit, so a NumPy change fails here instead of
+    silently drifting every golden drive."""
+    widths = [100e-6, 400e-6, 2e-3, 0.0, 1.0, 12.5]
+    a = np.random.default_rng(1234)
+    b = np.random.default_rng(1234)
+    for i in range(600):
+        x = widths[i % len(widths)]
+        assert a.random() * x == float(b.uniform(0.0, x))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+# --------------------------------------------------------------- multicast
+def _multicast_pair(**params):
+    """(send-per-copy backhaul, multicast backhaul) on the same seed."""
+    out = []
+    for _ in range(2):
+        sim, bh = make_backhaul(seed=5, **params)
+        got = []
+        bh.register(1, lambda p, s: None)
+        for node in (2, 3, 4):
+            bh.register(node, lambda p, s, node=node, sim=sim, got=got:
+                        got.append((sim.now, node, p.uid)))
+        out.append((sim, bh, got))
+    return out
+
+
+def test_multicast_adjudicates_each_hop_like_a_tunneled_send():
+    (sim_a, send_bh, got_a), (sim_b, mc_bh, got_b) = _multicast_pair(
+        link_jitter_s=300e-6, loss_probability=0.3)
+    for i in range(50):
+        p = packet(1200)
+        for dst in (2, 3, 4):
+            copy = Packet(size_bytes=p.size_bytes, src=p.src, dst=p.dst,
+                          uid=p.uid)
+            copy.encapsulate(1, dst)
+            send_bh.send(1, dst, copy)
+        mc_bh.multicast(1, (2, 3, 4), p)
+    sim_a.run()
+    sim_b.run()
+    assert got_a == got_b
+    for counter in ("packets_sent", "packets_lost", "bytes_sent"):
+        assert getattr(send_bh, counter) == getattr(mc_bh, counter)
+    assert mc_bh.bytes_sent == 150 * (1200 + TUNNEL_HEADER_BYTES)
+    assert send_bh.rng.bit_generator.state == mc_bh.rng.bit_generator.state
+
+
+def test_multicast_hands_sinks_the_shared_packet_and_arrival_time():
+    sim, bh = make_backhaul(seed=2)
+    posted, delivered = [], []
+    bh.register(1, lambda p, s: None)
+    bh.register(2, lambda p, s: delivered.append(p),
+                downlink=lambda p, s, t: posted.append((p, s, t)))
+    bh.register(3, lambda p, s: delivered.append(p))
+    p = packet()
+    bh.multicast(1, (2, 3), p)
+    # The sink hears about the packet at send time, with a future arrival.
+    assert [(q, s) for q, s, _t in posted] == [(p, 1)]
+    assert posted[0][2] > sim.now
+    sim.run()
+    # Node 3 has no sink: it gets the same object through a delivery event.
+    assert delivered == [p]
+    assert not p.is_tunneled and p.size_bytes == 100
+
+
+def test_multicast_to_unknown_node_raises():
+    _sim, bh = make_backhaul()
+    bh.register(1, lambda p, s: None)
+    with pytest.raises(KeyError):
+        bh.multicast(1, (99,), packet())

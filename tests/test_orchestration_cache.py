@@ -123,19 +123,29 @@ def test_pre_distributed_schema4_entries_miss_cleanly(tmp_path):
     stale entry would silently poison every backend at once."""
     from repro.orchestration import CACHE_SCHEMA_VERSION
 
-    assert CACHE_SCHEMA_VERSION == 5
+    assert CACHE_SCHEMA_VERSION == 6
     job = JobSpec(seed=13)
     old = ResultCache(root=tmp_path, salt="repro-0.0-schema4")
     old.put(job, _summary(job))
     current = ResultCache(root=tmp_path)
     assert "schema4" not in default_code_salt()
-    assert "schema5" in default_code_salt()
+    assert "schema6" in default_code_salt()
     assert current.get(job) is None  # old salt, unreachable entry
     # The stale entry is still on disk (misses don't delete foreign
     # salts) but invisible; a fresh run rewrites under the new salt.
     current.put(job, _summary(job, 33.0))
     assert current.get(job).throughput_mbps == 33.0
     assert old.get(job).throughput_mbps == 12.5  # untouched
+
+
+def test_schema5_event_counts_miss_cleanly(tmp_path):
+    """Schema 6 (lazy downlink arrival) changed ``events_fired`` for every
+    WGTT downlink drive: a schema-5 entry must not be served."""
+    job = JobSpec(seed=14)
+    ResultCache(root=tmp_path, salt="repro-0.0-schema5").put(
+        job, _summary(job))
+    assert "schema5" not in default_code_salt()
+    assert ResultCache(root=tmp_path).get(job) is None
 
 
 def test_store_version_tracks_cache_schema_version():
