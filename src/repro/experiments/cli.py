@@ -33,7 +33,6 @@ from ..orchestration import (
     ResultCache,
     SweepAggregator,
     SweepSpec,
-    run_queue_sweep,
     run_sweep,
 )
 from ..perf import PERF
@@ -257,10 +256,10 @@ def _load_fault_campaign(arg: Optional[str]):
 def cmd_sweep(args: argparse.Namespace) -> int:
     """A Fig.-13-style grid through the sweep orchestration layer.
 
-    ``--backend pool`` (default) fans jobs out over ``--jobs`` worker
-    processes; ``--backend queue`` runs the distributed path -- a
-    directory-lease work queue under ``--queue-dir`` drained by
-    ``--workers`` pull workers with heartbeat leases and crash requeue.
+    ``--jobs 1`` (default) drains the jobs in this process; ``--jobs N``
+    drains a directory-lease work queue with N pull workers (heartbeat
+    leases, crash requeue).  ``--queue-dir`` places that queue where
+    other hosts and ``sweep-status`` can see it.
     ``--store columnar`` additionally streams every summary into packed
     ``.npz`` shards plus a running ``aggregate.json`` snapshot under
     ``--store-dir``.  Results persist in the on-disk cache either way,
@@ -299,29 +298,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.store == "columnar":
         store = ColumnarStore(args.store_dir)
         aggregator = SweepAggregator()
-    if args.backend == "queue":
-        workers = args.workers if args.workers is not None else args.jobs
-        queue_dir = args.queue_dir
-        if queue_dir is None:
-            import tempfile
-
-            queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-        result = run_queue_sweep(
-            spec, workers=workers, queue_dir=queue_dir,
-            cache=cache, store=store, aggregator=aggregator,
-            lease_timeout_s=args.lease_timeout,
-            timeout_s=args.timeout, max_retries=args.retries,
-            verbose=args.verbose,
-        )
-    else:
-        result = run_sweep(
-            spec, jobs=args.jobs, cache=cache,
-            timeout_s=args.timeout, max_retries=args.retries,
-            verbose=args.verbose, store=store, aggregator=aggregator,
-        )
-    if store is not None:
-        store.flush()
-        aggregator.write_snapshot(store.root / "aggregate.json")
+    result = run_sweep(
+        spec, jobs=args.jobs, cache=cache,
+        timeout_s=args.timeout, max_retries=args.retries,
+        verbose=args.verbose, store=store, aggregator=aggregator,
+        queue_dir=args.queue_dir, lease_timeout_s=args.lease_timeout,
+    )
 
     # Mean coverage throughput per (column, speed), averaged over seeds.
     # Columns are modes; a --policies axis splits them per policy label.
@@ -361,8 +343,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     stats = result.stats
     print(f"jobs: {stats.one_line()}")
-    if args.backend == "queue":
-        print(f"queue: {queue_dir} ({workers} workers, "
+    if args.queue_dir is not None:
+        print(f"queue: {args.queue_dir} ({args.jobs} workers, "
               f"{stats.retries} requeued, {stats.failed} failed)")
     if store is not None:
         print(f"store: {store.root} ({len(store)} summaries in "
@@ -535,20 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--city", default=None, metavar="FILE_OR_JSON",
                        help="CityConfig JSON applied to every job (file path "
                             "or inline); use --modes wgtt with this")
-    sweep.add_argument("--backend", choices=("pool", "queue"), default="pool",
-                       help="pool: ProcessPoolExecutor fan-out (default); "
-                            "queue: directory-lease work queue drained by "
-                            "pull workers with heartbeats and crash requeue")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="queue-backend worker processes "
-                            "(default: --jobs)")
     sweep.add_argument("--queue-dir", default=None, metavar="DIR",
-                       help="queue-backend root directory (default: a fresh "
-                            "temp dir; point several hosts at one shared "
+                       help="work-queue root directory (default: a "
+                            "temporary dir, removed afterwards, when "
+                            "--jobs > 1; point several hosts at one shared "
                             "dir to distribute)")
     sweep.add_argument("--lease-timeout", type=float, default=30.0,
                        help="seconds of worker silence before its job is "
-                            "requeued (queue backend)")
+                            "requeued")
     sweep.add_argument("--store", choices=("json", "columnar"),
                        default="json",
                        help="columnar: also pack every summary into .npz "

@@ -14,16 +14,17 @@ first-class subsystem:
 * :mod:`repro.orchestration.cache` -- :class:`ResultCache`, a persistent
   on-disk store under ``.repro_cache/`` keyed by a canonical hash of the
   job config plus a code-version salt.
-* :mod:`repro.orchestration.runner` -- :class:`SweepRunner`, a
-  ``ProcessPoolExecutor`` fan-out with per-job timeouts, crash
-  isolation, and bounded retries; failed jobs become a report, not a
-  sweep abort.
+* :mod:`repro.orchestration.runner` -- :func:`run_sweep` and
+  :func:`run_queue_sweep`, the one sweep execution path: jobs drain
+  through a work queue (inline, or on worker processes) with per-job
+  timeouts, crash isolation, dead-worker requeue and bounded retries;
+  failed jobs become a report, not a sweep abort.
 * :mod:`repro.orchestration.progress` -- :class:`ProgressReporter` and
   :class:`SweepStats` (jobs done/failed/cached, wall clock, events/sec).
 * :mod:`repro.orchestration.queue` -- :class:`WorkQueue` backends
-  (in-process :class:`MemoryQueue` for tests, directory-lease
-  :class:`FileQueue` for multi-worker runs) with heartbeat leases,
-  bounded retries, and crash requeue.
+  (in-process :class:`MemoryQueue` for inline runs and tests,
+  directory-lease :class:`FileQueue` for multi-worker runs) with
+  heartbeat leases, bounded retries, and crash requeue.
 * :mod:`repro.orchestration.store` -- :class:`ColumnarStore`, packed
   ``.npz`` result shards with a manifest: a 10^6-job study is queryable
   in one ``np.load`` per shard instead of 10^6 file opens.
@@ -39,7 +40,6 @@ from .queue import FileQueue, MemoryQueue, WorkQueue
 from .runner import (
     JobFailure,
     SweepResult,
-    SweepRunner,
     queue_worker_main,
     run_queue_sweep,
     run_sweep,
@@ -56,7 +56,6 @@ __all__ = [
     "SweepStats",
     "JobFailure",
     "SweepResult",
-    "SweepRunner",
     "run_sweep",
     "run_queue_sweep",
     "queue_worker_main",

@@ -89,11 +89,6 @@ class ProgressReporter:
             print(f"  [{self.stats.done}/{self.stats.total}] {job_key} ({tag})",
                   file=self.stream)
 
-    def job_retry(self, job_key: str, attempt: int, error: str) -> None:
-        self.stats.retries += 1
-        if self.verbose:
-            print(f"  retry #{attempt} {job_key}: {error}", file=self.stream)
-
     def job_failed(self, job_key: str, attempts: int, error: str) -> None:
         self.stats.failed += 1
         self._tick()

@@ -14,7 +14,9 @@ results.  Two backends share the protocol:
   *processes* (and, on a shared filesystem, many hosts).  Claims are
   atomic ``O_CREAT | O_EXCL`` lease-file creation; heartbeats rewrite
   the lease timestamp; any party may call :meth:`~WorkQueue.requeue_expired`
-  to reclaim jobs whose worker died mid-drive.
+  to reclaim jobs whose worker died mid-drive, and a coordinator that
+  sees its own worker exit reclaims them at once with
+  :meth:`FileQueue.forfeit`.
 
 Determinism contract
 --------------------
@@ -331,6 +333,23 @@ class FileQueue(WorkQueue):
     # ---------------------------------------------------------- expiry
     def requeue_expired(self) -> int:
         now = time.time()
+        return self._requeue_leases(
+            lambda lease: now - float(lease.get("ts", 0.0))
+            > self.lease_timeout_s,
+            "lease expired (worker died)",
+        )
+
+    def forfeit(self, worker_id: str, error: str) -> int:
+        """Requeue every job leased by ``worker_id``, known to be dead.
+
+        The coordinator calls this when it sees its own worker process
+        exit, so the job retries at once instead of after lease expiry.
+        """
+        return self._requeue_leases(
+            lambda lease: lease.get("worker") == worker_id, error)
+
+    def _requeue_leases(self, forfeited: Callable[[Dict[str, Any]], bool],
+                        error: str) -> int:
         requeued = 0
         for lease_path in sorted(self.leases_dir.glob("*.json")):
             try:
@@ -338,13 +357,13 @@ class FileQueue(WorkQueue):
                     lease = json.load(fh)
             except (OSError, ValueError):
                 continue  # mid-write; next pass will see it
-            if now - float(lease.get("ts", 0.0)) <= self.lease_timeout_s:
+            if not forfeited(lease):
                 continue
             name = lease_path.stem
             lease_path.unlink(missing_ok=True)
             if (self.jobs_dir / f"{name}.json").exists():
                 # Worker died mid-drive: count the attempt, maybe retire.
-                self._bump_attempts(name, "lease expired (worker died)")
+                self._bump_attempts(name, error)
                 requeued += 1
             # else: worker completed, died before lease cleanup -- done.
         return requeued

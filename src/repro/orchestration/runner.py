@@ -1,29 +1,35 @@
-"""Process-pool sweep execution with fault tolerance.
+"""Sweep execution: every sweep runs through a work queue.
 
-:class:`SweepRunner` fans the jobs of a :class:`~repro.orchestration.spec.SweepSpec`
-out to worker processes.  Each worker runs one drive and ships back a
-:class:`~repro.orchestration.summary.DriveSummary` -- never the live
-``Network`` -- so results pickle cheaply and identically regardless of
-worker count.
+:func:`run_queue_sweep` enqueues the cache-missing jobs of a
+:class:`~repro.orchestration.spec.SweepSpec` on a
+:class:`~repro.orchestration.queue.WorkQueue` and drains it -- inline in
+this process, or with pull-worker processes on a
+:class:`~repro.orchestration.queue.FileQueue`.  Each attempt runs one
+drive and pushes back a :class:`~repro.orchestration.summary.DriveSummary`
+-- never the live ``Network``.  :func:`run_sweep` is the one-call front
+end: ``jobs=1`` drains an in-process queue inline, anything else drains a
+directory queue with ``jobs`` worker processes.
 
 Fault model
 -----------
-* An exception inside a job is caught *in the worker* and returned as a
-  failure record (crash isolation: one bad job cannot take down the
+* An exception inside a job is caught where it runs and recorded as a
+  failed attempt (crash isolation: one bad job cannot take down the
   sweep).
-* A hard worker death (``os._exit``, OOM-kill, segfault) surfaces as
-  ``BrokenProcessPool``; the runner writes off the poisoned round,
-  rebuilds the pool, and resubmits the affected jobs.
+* A hard worker death (``os._exit``, OOM-kill, segfault) is seen by the
+  coordinator, which forfeits the dead worker's leases at once and
+  spawns a replacement; the job's attempt is counted and it requeues.
+  A worker the coordinator cannot see (another host on a shared
+  filesystem) loses its lease when its heartbeat goes stale.
 * Every job gets ``max_retries`` extra attempts; a job that exhausts
   them becomes a :class:`JobFailure` in the report -- the sweep still
   completes and returns every other result.
-* ``timeout_s`` arms a per-job wall-clock alarm inside the worker
+* ``timeout_s`` arms a per-job wall-clock alarm where the job runs
   (POSIX ``SIGALRM``; silently unavailable elsewhere), so a hung drive
   is a retryable failure, not a stuck sweep.
 
 Determinism: each job builds its own ``Network`` from its own seed, so
-results are bit-identical whether the sweep runs serially (``jobs=1``,
-in-process) or on any number of workers, in any completion order.
+results are bit-identical whether the sweep drains inline or on any
+number of workers, in any pull order and across any crash schedule.
 
 Test hooks (used by the fault-tolerance tests only): setting
 ``REPRO_SWEEP_TEST_CRASH`` to ``exception`` or ``exit`` makes workers
@@ -37,21 +43,20 @@ from __future__ import annotations
 
 import os
 import signal
-import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+import tempfile
 from dataclasses import dataclass, field
 from time import sleep
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from .cache import ResultCache
 from .progress import ProgressReporter, SweepStats
-from .queue import DEFAULT_LEASE_TIMEOUT_S, Claim, FileQueue, WorkQueue
+from .queue import (DEFAULT_LEASE_TIMEOUT_S, Claim, FileQueue, MemoryQueue,
+                    WorkQueue)
 from .spec import JobSpec, SweepSpec
 from .summary import DriveSummary
 
-__all__ = ["JobFailure", "SweepResult", "SweepRunner", "run_sweep",
-           "run_queue_sweep", "queue_worker_main", "execute_job_inline"]
+__all__ = ["JobFailure", "SweepResult", "run_sweep", "run_queue_sweep",
+           "queue_worker_main", "execute_job_inline"]
 
 
 # ------------------------------------------------------------------ worker
@@ -78,7 +83,7 @@ def _apply_test_hooks(job: JobSpec) -> None:
         with open(marker, "w") as fh:
             fh.write(job.key())
     if crash_mode == "exit":
-        os._exit(13)  # hard death: parent sees BrokenProcessPool
+        os._exit(13)  # hard death: the coordinator reaps the worker
     raise RuntimeError(f"injected test crash for {job.key()}")
 
 
@@ -91,44 +96,6 @@ def execute_job_inline(job: JobSpec) -> DriveSummary:
     return summary
 
 
-def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one job, catching everything.
-
-    Returns ``{"ok": True, "summary": ...}`` or a failure dict with the
-    formatted traceback -- exceptions never propagate out of the worker,
-    so one bad job cannot poison the pool (only a hard process death can,
-    and the parent handles that separately).
-    """
-    job = JobSpec.from_dict(payload["job"])
-    timeout_s = payload.get("timeout_s")
-    alarm_armed = False
-    try:
-        if timeout_s and hasattr(signal, "SIGALRM"):
-            def _on_alarm(_sig, _frame):
-                raise TimeoutError(f"job exceeded {timeout_s}s wall clock")
-            signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
-            alarm_armed = True
-        _apply_test_hooks(job)
-        summary = execute_job_inline(job)
-        return {"ok": True, "summary": summary.to_dict()}
-    except BaseException as exc:  # noqa: BLE001 - isolation is the point
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
-    finally:
-        if alarm_armed:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-
-
-def _payload(job: JobSpec, timeout_s: Optional[float]) -> Dict[str, Any]:
-    return {"job": job.canonical(), "timeout_s": timeout_s}
-
-
 # ------------------------------------------------------------------ results
 @dataclass
 class JobFailure:
@@ -137,7 +104,6 @@ class JobFailure:
     job: JobSpec
     attempts: int
     error: str
-    traceback: str = ""
 
 
 @dataclass
@@ -160,162 +126,6 @@ class SweepResult:
             for job, summary in zip(self.jobs, self.summaries)
             if summary is not None
         }
-
-
-# ------------------------------------------------------------------ runner
-class SweepRunner:
-    """Executes a sweep over a process pool with caching and retries.
-
-    ``jobs=1`` runs in-process (no pool, no pickling); any higher count
-    fans out over a ``ProcessPoolExecutor``.  Results are identical
-    either way.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: Optional[ResultCache] = None,
-        timeout_s: Optional[float] = None,
-        max_retries: int = 2,
-        reporter: Optional[ProgressReporter] = None,
-        store=None,
-        aggregator=None,
-    ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        self.jobs = jobs
-        self.cache = cache
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.reporter = reporter or ProgressReporter(verbose=False)
-        #: Optional ColumnarStore / SweepAggregator fed as results land
-        #: (cached and fresh alike), so figures can stream mid-sweep.
-        self.store = store
-        self.aggregator = aggregator
-
-    def _publish(self, summary: DriveSummary) -> None:
-        if self.store is not None:
-            self.store.append(summary)
-        if self.aggregator is not None:
-            self.aggregator.add(summary)
-
-    # ---------------------------------------------------------------- run
-    def run(self, sweep: Union[SweepSpec, Iterable[JobSpec]]) -> SweepResult:
-        jobs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
-        reporter = self.reporter
-        reporter.begin(len(jobs))
-
-        # Duplicate jobs (identical grid points) simulate once.
-        unique: List[JobSpec] = list(dict.fromkeys(jobs))
-        summaries: Dict[JobSpec, DriveSummary] = {}
-        failures: List[JobFailure] = []
-
-        pending: List[JobSpec] = []
-        for job in unique:
-            cached = self.cache.get(job) if self.cache is not None else None
-            if cached is not None:
-                summaries[job] = cached
-                self._publish(cached)
-                reporter.job_done(job.key(), 0, 0.0, cached=True)
-            else:
-                pending.append(job)
-
-        attempts: Dict[JobSpec, int] = {job: 0 for job in pending}
-        last_error: Dict[JobSpec, Tuple[str, str]] = {}
-        while pending:
-            round_results = self._run_round(pending)
-            retry: List[JobSpec] = []
-            for job, outcome in round_results:
-                attempts[job] += 1
-                if outcome.get("ok"):
-                    summary = DriveSummary.from_dict(outcome["summary"])
-                    summaries[job] = summary
-                    if self.cache is not None:
-                        self.cache.put(job, summary)
-                    self._publish(summary)
-                    reporter.job_done(
-                        job.key(), summary.events_fired,
-                        summary.wall_clock_s, cached=False,
-                    )
-                    continue
-                error = outcome.get("error", "unknown error")
-                last_error[job] = (error, outcome.get("traceback", ""))
-                if attempts[job] <= self.max_retries:
-                    reporter.job_retry(job.key(), attempts[job], error)
-                    retry.append(job)
-                else:
-                    reporter.job_failed(job.key(), attempts[job], error)
-                    failures.append(JobFailure(
-                        job=job, attempts=attempts[job],
-                        error=error, traceback=last_error[job][1],
-                    ))
-            pending = retry
-
-        stats = reporter.end()
-        return SweepResult(
-            jobs=jobs,
-            summaries=[summaries.get(job) for job in jobs],
-            failures=failures,
-            stats=stats,
-        )
-
-    # -------------------------------------------------------------- rounds
-    def _run_round(
-        self, batch: Sequence[JobSpec]
-    ) -> List[Tuple[JobSpec, Dict[str, Any]]]:
-        """One attempt per job in ``batch``; never raises for a job error."""
-        if self.jobs == 1:
-            return [(job, _execute_job(_payload(job, self.timeout_s)))
-                    for job in batch]
-        out: List[Tuple[JobSpec, Dict[str, Any]]] = []
-        workers = min(self.jobs, len(batch))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_job, _payload(job, self.timeout_s)): job
-                for job in batch
-            }
-            for future in as_completed(futures):
-                job = futures[future]
-                try:
-                    out.append((job, future.result()))
-                except BrokenProcessPool:
-                    # A worker died hard; every in-flight/queued future in
-                    # this pool is poisoned.  Record the attempt and let
-                    # the retry loop resubmit on a fresh pool.
-                    out.append((job, {
-                        "ok": False,
-                        "error": "worker process died (BrokenProcessPool)",
-                        "traceback": "",
-                    }))
-                except Exception as exc:  # pragma: no cover - defensive
-                    out.append((job, {
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    }))
-        return out
-
-
-def run_sweep(
-    sweep: Union[SweepSpec, Iterable[JobSpec]],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 2,
-    verbose: bool = False,
-    store=None,
-    aggregator=None,
-) -> SweepResult:
-    """One-call sweep execution (the CLI and benchmarks go through this)."""
-    runner = SweepRunner(
-        jobs=jobs, cache=cache, timeout_s=timeout_s,
-        max_retries=max_retries,
-        reporter=ProgressReporter(verbose=verbose),
-        store=store, aggregator=aggregator,
-    )
-    return runner.run(sweep)
 
 
 # ------------------------------------------------------------ queue backend
@@ -360,9 +170,10 @@ def queue_worker_main(
     This is the entry point a worker *process* runs (the coordinator
     spawns N of them; on a shared filesystem any number of hosts could
     run it against the same root).  A heartbeat thread renews the lease
-    at a quarter of the expiry period while the drive runs; if this
-    process dies mid-job, the lease goes stale and any surviving party
-    requeues the job.
+    at a quarter of the expiry period while the drive runs.  If this
+    process dies mid-job, the coordinator that spawned it forfeits its
+    lease at once; a worker started any other way loses its lease when
+    the heartbeat goes stale, and any surviving party requeues the job.
     """
     import threading
 
@@ -414,18 +225,19 @@ def run_queue_sweep(
     pull-worker processes, and streams results as they land: each
     summary is cached, appended to ``store`` (columnar), and fed to
     ``aggregator``, whose snapshot is republished after every drain so
-    figures can update mid-sweep.  Dead workers are respawned while jobs
-    remain; their in-flight jobs requeue via lease expiry.
+    figures can update mid-sweep.  A worker process that dies forfeits
+    its leases at once (its jobs requeue without waiting for lease
+    expiry) and is replaced while jobs remain.
 
     ``workers=0`` drains the queue inline in this process (no spawning)
     -- with a :class:`~repro.orchestration.queue.MemoryQueue` that is
-    the deterministic single-threaded reference the test battery
-    compares every other schedule against.
+    what ``run_sweep(jobs=1)`` runs, and what the test battery drives
+    through injected pull orders and crash schedules.
 
     Determinism: summaries depend only on each job's spec (seeds are
     derived from grid coordinates, never from scheduling), so the
-    returned :class:`SweepResult` is byte-identical to ``run_sweep``
-    over the same grid, no matter the worker count or pull order.
+    returned :class:`SweepResult` is byte-identical to an inline drain
+    of the same grid, no matter the worker count or pull order.
     """
     import multiprocessing as mp
 
@@ -453,7 +265,7 @@ def run_queue_sweep(
             aggregator.write_snapshot(os.path.join(str(root),
                                                    "aggregate.json"))
 
-    # Cache hits never enter the queue (same policy as the pool runner).
+    # Cache hits never enter the queue.
     unique: List[JobSpec] = list(dict.fromkeys(jobs))
     summaries: Dict[JobSpec, DriveSummary] = {}
     failures: List[JobFailure] = []
@@ -543,8 +355,13 @@ def run_queue_sweep(
                     if not proc.is_alive():
                         proc.join()
                         del procs[wid]
+                        # A dead worker renews nothing: requeue its job
+                        # now instead of waiting out the lease.
+                        queue.forfeit(
+                            f"worker-{wid}",
+                            f"worker died (exit code {proc.exitcode})")
                 # Keep the worker pool topped up while claimable work
-                # remains (a crashed worker's lease frees after expiry).
+                # remains.
                 want = min(workers, queue.jobs_remaining())
                 while len(procs) < want and spawned < spawn_budget:
                     _spawn_one()
@@ -571,8 +388,11 @@ def run_queue_sweep(
         store.flush()
     _snapshot()
     # Requeues happened in workers/the queue, not through this reporter;
-    # fold the queue's own count in before the closing line prints.
-    reporter.stats.retries = int(queue.status().get("requeued", 0))
+    # fold the queue's own count in before the closing line prints.  It
+    # counts every failed attempt, so a terminally failed job's last
+    # attempt is not a retry.
+    status = queue.status()
+    reporter.stats.retries = status["requeued"] - status["failed"]
     stats = reporter.end()
     return SweepResult(
         jobs=jobs,
@@ -580,3 +400,42 @@ def run_queue_sweep(
         failures=failures,
         stats=stats,
     )
+
+
+def run_sweep(
+    sweep: Union[SweepSpec, Iterable[JobSpec]],
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    timeout_s: Optional[float] = None,
+    max_retries: int = 2,
+    verbose: bool = False,
+    store=None,
+    aggregator=None,
+    queue_dir: Optional[str] = None,
+    lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
+) -> SweepResult:
+    """One-call sweep execution (the CLI and benchmarks go through this).
+
+    ``jobs=1`` without a ``queue_dir`` drains an in-process
+    :class:`~repro.orchestration.queue.MemoryQueue` inline.  Otherwise
+    ``jobs`` worker processes drain a
+    :class:`~repro.orchestration.queue.FileQueue` at ``queue_dir``, or in
+    a temporary directory that is removed when the sweep returns.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    common = dict(cache=cache, store=store, aggregator=aggregator,
+                  max_retries=max_retries, timeout_s=timeout_s,
+                  verbose=verbose)
+    if jobs == 1 and queue_dir is None:
+        return run_queue_sweep(sweep, workers=0,
+                               queue=MemoryQueue(max_retries=max_retries),
+                               **common)
+    if queue_dir is not None:
+        return run_queue_sweep(sweep, workers=jobs, queue_dir=queue_dir,
+                               lease_timeout_s=lease_timeout_s, **common)
+    with tempfile.TemporaryDirectory(prefix="repro-queue-") as tmp:
+        return run_queue_sweep(sweep, workers=jobs, queue_dir=tmp,
+                               lease_timeout_s=lease_timeout_s, **common)

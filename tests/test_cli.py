@@ -64,7 +64,7 @@ def test_sweep_defaults():
     assert args.jobs == 1
     assert args.retries == 2
     assert not args.no_cache
-    assert args.backend == "pool"
+    assert args.queue_dir is None
     assert args.store == "json"
     assert args.fault_campaign is None
 
@@ -72,8 +72,7 @@ def test_sweep_defaults():
 def test_sweep_queue_backend_with_columnar_store(capsys, tmp_path):
     queue_dir = str(tmp_path / "queue")
     store_dir = str(tmp_path / "store")
-    extra = ["--backend", "queue", "--workers", "2",
-             "--queue-dir", queue_dir, "--store", "columnar",
+    extra = ["--jobs", "2", "--queue-dir", queue_dir, "--store", "columnar",
              "--store-dir", store_dir, "--cache-dir", str(tmp_path / "c")]
     assert main(SWEEP_SMALL + extra) == 0
     out = capsys.readouterr().out
@@ -88,10 +87,19 @@ def test_sweep_queue_backend_with_columnar_store(capsys, tmp_path):
     assert "done" in status
     assert "store_version" in status or "summaries" in status
 
-    # And the numbers match a plain pool run of the same grid.
+    # And the numbers match a plain in-process run of the same grid.
     assert main(SWEEP_SMALL + ["--no-cache"]) == 0
-    pool_out = capsys.readouterr().out
-    assert out.splitlines()[1] == pool_out.splitlines()[1]
+    serial_out = capsys.readouterr().out
+    assert out.splitlines()[1] == serial_out.splitlines()[1]
+
+
+def test_sweep_temporary_queue_dir_is_removed(capsys, tmp_path, monkeypatch):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main(SWEEP_SMALL + ["--jobs", "2", "--no-cache"]) == 0
+    assert "2 run, 0 cached" in capsys.readouterr().out
+    assert list(tmp_path.glob("repro-queue-*")) == []
 
 
 def test_sweep_fault_campaign_flag(capsys, tmp_path):

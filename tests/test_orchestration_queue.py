@@ -131,6 +131,19 @@ class TestFileQueue:
         again = q.claim("w2")
         assert again.name == claim.name and again.attempt == 2
 
+    def test_forfeit_requeues_only_the_dead_workers_fresh_lease(
+            self, tmp_path):
+        q = FileQueue(tmp_path, lease_timeout_s=60.0)
+        q.enqueue(jobs(2))
+        dead = q.claim("w1")
+        alive = q.claim("w2")
+        assert q.forfeit("w1", "worker died (exit code 13)") == 1
+        assert not (q.leases_dir / f"{dead.name}.json").exists()
+        assert (q.leases_dir / f"{alive.name}.json").exists()
+        again = q.claim("w3")
+        assert again.name == dead.name and again.attempt == 2
+        assert q.forfeit("w1", "again") == 0  # nothing left to forfeit
+
     def test_heartbeat_renews_the_lease_timestamp(self, tmp_path):
         q = FileQueue(tmp_path, lease_timeout_s=60.0)
         q.enqueue(jobs(1))

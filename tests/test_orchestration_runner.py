@@ -1,4 +1,4 @@
-"""Integration tests for the process-pool sweep runner.
+"""Integration tests for the work-queue sweep runner.
 
 Drives use a 3-AP road at 35 mph with a light UDP load so each job is a
 fraction of a second; the properties under test (determinism across
@@ -17,11 +17,11 @@ from repro.orchestration import (
     MemoryQueue,
     ProgressReporter,
     ResultCache,
-    SweepRunner,
     SweepSpec,
     run_queue_sweep,
     run_sweep,
 )
+from repro.orchestration.runner import execute_job_inline
 
 SMALL = dict(
     modes=("baseline",), speeds_mph=(35.0,), traffics=("udp",),
@@ -83,8 +83,9 @@ def test_worker_exception_is_retried_and_succeeds(tmp_path, monkeypatch):
 
 
 def test_hard_worker_death_does_not_abort_the_sweep(tmp_path, monkeypatch):
-    # os._exit in the worker breaks the whole pool; the runner must
-    # rebuild it and finish every job.
+    # os._exit kills a worker process mid-job; the coordinator must
+    # requeue its job (without waiting out the default 30 s lease),
+    # replace the worker and finish every job.
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "exit")
     monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "s1")
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_ONCE_DIR", str(tmp_path))
@@ -103,6 +104,7 @@ def test_exhausted_retries_reported_not_raised(monkeypatch):
     assert len(result.failures) == 1
     failure = result.failures[0]
     assert failure.attempts == 2  # first try + one retry
+    assert result.stats.retries == 1  # the failed last attempt is no retry
     assert "injected test crash" in failure.error
     # The healthy job still completed, aligned with its grid position.
     by_seed = {j.seed: s for j, s in zip(result.jobs, result.summaries)}
@@ -122,20 +124,20 @@ def test_per_job_timeout_is_a_retryable_failure(monkeypatch):
 
 def test_runner_validates_arguments():
     with pytest.raises(ValueError):
-        SweepRunner(jobs=0)
+        run_sweep(small_spec(), jobs=0)
     with pytest.raises(ValueError):
-        SweepRunner(max_retries=-1)
+        run_sweep(small_spec(), max_retries=-1)
 
 
-def test_progress_reporter_counts_and_narrates(tmp_path, capsys):
+def test_progress_reporter_counts_and_narrates(tmp_path):
     import io
 
     stream = io.StringIO()
     cache = ResultCache(root=tmp_path)
-    runner = SweepRunner(jobs=1, cache=cache,
-                         reporter=ProgressReporter(verbose=True, stream=stream))
     spec = small_spec(seeds=(1,))
-    result = runner.run(spec)
+    result = run_queue_sweep(
+        spec, workers=0, queue=MemoryQueue(), cache=cache,
+        reporter=ProgressReporter(verbose=True, stream=stream))
     stats = result.stats
     assert stats.total == 1 and stats.completed == 1
     assert stats.events_fired > 0
@@ -156,7 +158,7 @@ def test_summaries_expose_figure_grade_data():
 
 
 def test_jobspec_round_trip_preserves_identity_under_pool():
-    # What the parent hashes must be exactly what the worker rebuilds.
+    # What the coordinator hashes must be exactly what a worker rebuilds.
     job = JobSpec(mode="baseline", speed_mph=35.0, traffic="udp",
                   udp_rate_mbps=5.0, seed=1, n_aps=3)
     assert JobSpec.from_dict(job.canonical()) == job
@@ -167,11 +169,20 @@ def test_jobspec_round_trip_preserves_identity_under_pool():
 # job spec.  Worker count, pull order, crash/requeue schedules -- none
 # of it may perturb a single byte of the results or the cache entries.
 
-def sweep_bytes(result):
-    """The byte-comparable identity of a sweep (wall clock excluded)."""
-    assert all(s is not None for s in result.summaries)
-    return json.dumps([s.deterministic_dict() for s in result.summaries],
+def summaries_bytes(summaries):
+    """The byte-comparable identity of summaries (wall clock excluded)."""
+    assert all(s is not None for s in summaries)
+    return json.dumps([s.deterministic_dict() for s in summaries],
                       sort_keys=True)
+
+
+def sweep_bytes(result):
+    return summaries_bytes(result.summaries)
+
+
+def reference_summaries(spec):
+    """Each job run in this process, in spec order: no queue involved."""
+    return [execute_job_inline(job) for job in spec.expand()]
 
 
 def cache_identity(cache):
@@ -186,10 +197,8 @@ def cache_identity(cache):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    """One serial run of the small spec; every schedule must match it."""
-    result = run_sweep(small_spec(), jobs=1)
-    assert result.ok
-    return sweep_bytes(result)
+    """The small spec run job by job; every schedule must match it."""
+    return summaries_bytes(reference_summaries(small_spec()))
 
 
 @pytest.mark.parametrize("order_seed", [0, 1, 2])
@@ -233,8 +242,8 @@ def test_inline_crash_and_requeue_is_byte_identical(
 
 def test_worker_process_crash_requeues_and_stays_identical(
         serial_reference, tmp_path, monkeypatch):
-    # A real worker process dies via os._exit mid-sweep; the lease
-    # expires, another worker reruns the job, bytes still match.
+    # A real worker process dies via os._exit mid-sweep; its lease is
+    # forfeited, another worker reruns the job, bytes still match.
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "exit")
     monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "s1")
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_ONCE_DIR", str(tmp_path / "m"))
@@ -247,22 +256,41 @@ def test_worker_process_crash_requeues_and_stays_identical(
     assert sweep_bytes(result) == serial_reference
 
 
+def test_dead_worker_lease_is_reaped_without_waiting_for_expiry(
+        serial_reference, tmp_path, monkeypatch):
+    # The lease would hold the crashed job for 60 s; the coordinator
+    # sees the worker exit and requeues the job at once instead.
+    monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "exit")
+    monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "s1")
+    monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_ONCE_DIR", str(tmp_path / "m"))
+    (tmp_path / "m").mkdir()
+    result = run_queue_sweep(small_spec(), workers=2,
+                             queue_dir=str(tmp_path / "q"),
+                             lease_timeout_s=60, max_retries=2)
+    assert result.ok
+    assert result.stats.retries >= 1
+    assert result.stats.wall_clock_s < 60
+    assert sweep_bytes(result) == serial_reference
+
+
 def test_queue_and_serial_runs_share_cache_entries(tmp_path):
     serial_cache = ResultCache(root=tmp_path / "serial")
     queue_cache = ResultCache(root=tmp_path / "queue")
-    serial = run_sweep(small_spec(), jobs=1, cache=serial_cache)
+    serial = reference_summaries(small_spec())
+    for job, summary in zip(small_spec().expand(), serial):
+        serial_cache.put(job, summary)
     queued = run_queue_sweep(small_spec(), workers=0,
                              queue=MemoryQueue(
                                  pull_order=lambda n: n.reverse()),
                              cache=queue_cache)
-    assert serial.ok and queued.ok
+    assert queued.ok
     # Same keys (paths) AND same stored summaries, byte for byte.
     assert cache_identity(serial_cache) == cache_identity(queue_cache)
     # A queue run after a serial run is a pure cache replay.
     replay = run_queue_sweep(small_spec(), workers=0, queue=MemoryQueue(),
                              cache=ResultCache(root=tmp_path / "serial"))
     assert replay.stats.cached == 2 and replay.stats.completed == 0
-    assert sweep_bytes(replay) == sweep_bytes(serial)
+    assert sweep_bytes(replay) == summaries_bytes(serial)
 
 
 def test_queue_sweep_reports_terminal_failures(monkeypatch):
@@ -329,8 +357,8 @@ def test_fault_campaign_sweep_is_deterministic_and_cache_stable(tmp_path):
 
 
 def test_fault_campaign_queue_run_matches_serial(tmp_path):
-    serial = run_sweep(SweepSpec(**FAULTY), jobs=1)
+    serial = reference_summaries(SweepSpec(**FAULTY))
     queued = run_queue_sweep(SweepSpec(**FAULTY), workers=2,
                              queue_dir=str(tmp_path / "q"))
-    assert serial.ok and queued.ok
-    assert sweep_bytes(queued) == sweep_bytes(serial)
+    assert queued.ok
+    assert sweep_bytes(queued) == summaries_bytes(serial)
