@@ -21,6 +21,14 @@ AP that is not serving the client only needs the packet in its ring by
 the time it next reads the ring, so it parks the packet in an
 :class:`ArrivalLog` (no event) and folds the arrived prefix into its
 rings on every read.  Only the serving AP gets a wake-up per packet.
+
+Every AP holds a ring for every client in range, but only the rings the
+controller's downlink reaches are ever written: a city vehicle is
+pre-associated with every AP on its route, and a client with no downlink
+traffic feeds none of them.  A ring therefore allocates its slot array
+and pending deque on its first insert and releases them on
+:meth:`CyclicQueue.clear`; until then it answers every read exactly as
+an empty allocated ring would.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from operator import itemgetter
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple, Union
 
 from ..net.packet import Packet
 
@@ -45,6 +53,10 @@ INDEX_MODULO = 1 << INDEX_BITS
 _UID_BITS = 48
 _UID_MASK = (1 << _UID_BITS) - 1
 
+#: The pending entries of a ring with no storage: empty, immutable and
+#: shared, so every read path serves an unallocated ring unchanged.
+_NO_PENDING: Tuple[int, ...] = ()
+
 
 def ring_distance(a: int, b: int) -> int:
     """Forward distance from index ``a`` to index ``b`` on the ring."""
@@ -60,16 +72,20 @@ class CyclicQueue:
     ``start(c, k)``.  Slots are overwritten as the index space wraps,
     which implicitly discards packets other APs already delivered -- no
     per-packet invalidation traffic is needed.
+
+    The slot array and the pending deque exist only between the first
+    insert and the next :meth:`clear`.
     """
 
     def __init__(self, size: int = INDEX_MODULO):
         if size <= 0 or size > INDEX_MODULO:
             raise ValueError(f"ring size must be in (0, {INDEX_MODULO}], got {size}")
         self._size = size
-        self._slots: List[Optional[Packet]] = [None] * size
+        #: Slot storage, allocated by the first insert (None until then).
+        self._slots: Optional[List[Optional[Packet]]] = None
         #: Packed (index, uid) entries with a live packet, in insertion
-        #: (== controller) order.
-        self._pending: Deque[int] = deque()
+        #: (== controller) order; ``_NO_PENDING`` while unallocated.
+        self._pending: Union[Deque[int], Tuple[int, ...]] = _NO_PENDING
         self._newest_index = 0
         self.inserted = 0
         self.consumed = 0
@@ -116,10 +132,14 @@ class CyclicQueue:
         if packet.wgtt_index is None:
             raise ValueError("packet has no WGTT index; controller must assign one")
         idx = packet.wgtt_index % INDEX_MODULO
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = [None] * self._size
+            self._pending = deque()
         slot = idx % self._size
-        if self._slots[slot] is not None:
+        if slots[slot] is not None:
             self.overwritten += 1
-        self._slots[slot] = packet
+        slots[slot] = packet
         self._pending.append((idx << _UID_BITS) | (packet.uid & _UID_MASK))
         self._newest_index = idx
         self.inserted += 1
@@ -208,8 +228,12 @@ class CyclicQueue:
         return [(e >> _UID_BITS, e & _UID_MASK) for e in self._pending]
 
     def clear(self) -> None:
-        self._slots = [None] * self._size
-        self._pending.clear()
+        """Drop every stored packet and release the slot storage.
+
+        The insert cursor (``next_insert_index``) and the counters stay.
+        """
+        self._slots = None
+        self._pending = _NO_PENDING
 
 
 #: One posted downlink packet: (arrival time, shared packet, sender node).

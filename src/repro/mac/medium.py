@@ -71,9 +71,9 @@ class MediumParams:
     rx_processing_s: float = 0.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transmission:
-    """One frame on the air."""
+    """One frame on the air (compared by identity)."""
 
     radio: "object"  # repro.mac.radio.Radio (duck-typed to avoid a cycle)
     frame: Frame
@@ -103,10 +103,12 @@ class Medium:
         self.timing = timing
         self.params = params or MediumParams()
         self._radios: Dict[int, object] = {}
-        #: (ap_id, client_id) -> Link.  The only radio channel pairs with a
-        #: full fading model; infra-infra and client-client coupling use
-        #: mean path loss (they matter only for carrier sense/capture).
-        self._links: Dict[Tuple[int, int], Link] = {}
+        #: node -> peer -> (Link, uplink?).  AP/client pairs are the only
+        #: radio channels with a full fading model; infra-infra and
+        #: client-client coupling use mean path loss (they matter only for
+        #: carrier sense/capture).  ``add_link`` files each link under both
+        #: ends, so a lookup is two dict probes with no tuple key.
+        self._peers: Dict[int, Dict[int, Tuple[Link, bool]]] = {}
         # AP-AP coupling: the array shares one building face, so APs hear
         # each other through near-line-of-sight leakage regardless of where
         # their parabolic antennas point (0 dBi effective gain, free-space
@@ -129,18 +131,21 @@ class Medium:
         self._radios[radio.node_id] = radio
 
     def add_link(self, ap_id: int, client_id: int, link: Link) -> None:
-        self._links[(ap_id, client_id)] = link
+        self._peers.setdefault(ap_id, {})[client_id] = (link, False)
+        # A link added in the (ap_id, client_id) direction keeps
+        # precedence over the reverse view of another link.
+        reverse = self._peers.setdefault(client_id, {})
+        known = reverse.get(ap_id)
+        if known is None or known[1]:
+            reverse[ap_id] = (link, True)
 
     def link_between(self, node_a: int, node_b: int) -> Optional[Tuple[Link, bool]]:
         """Return (link, uplink?) for an AP/client pair, else None.
 
         ``uplink`` is True when ``node_a`` (the transmitter) is the client.
         """
-        if (node_a, node_b) in self._links:
-            return self._links[(node_a, node_b)], False
-        if (node_b, node_a) in self._links:
-            return self._links[(node_b, node_a)], True
-        return None
+        peers = self._peers.get(node_a)
+        return None if peers is None else peers.get(node_b)
 
     def radios(self) -> List[object]:
         return list(self._radios.values())

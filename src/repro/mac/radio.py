@@ -439,7 +439,8 @@ class Radio:
         if live and self._awaiting_ba is not None and self._awaiting_ba[0] == peer_id:
             _pid, frame = self._awaiting_ba
             n_sent = frame.n_mpdus
-            n_acked = sum(1 for m in frame.mpdus if m.seq in set(acked))
+            acked_seqs = set(acked)
+            n_acked = sum(1 for m in frame.mpdus if m.seq in acked_seqs)
             state.rate_ctrl.on_result(frame.mcs, n_sent, n_acked)
             # Whatever was not acked goes to the retry queue now.
             self._queue_retries(peer_id, state, frame, t)

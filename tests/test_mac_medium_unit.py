@@ -129,3 +129,22 @@ def test_cancel_access():
     medium.request_access(a)
     medium.cancel_access(a)
     assert a.node_id not in medium._pending_access
+
+
+def test_link_between_direct_entry_beats_reverse_view():
+    """(a, b) added directly wins over the reverse view of a (b, a) link,
+    whichever was added first; re-adding a pair replaces its link."""
+    _sim, medium = make_medium()
+    ab, ba, ba2 = object(), object(), object()
+    medium.add_link(1, 2, ab)
+    medium.add_link(2, 1, ba)
+    assert medium.link_between(1, 2) == (ab, False)
+    assert medium.link_between(2, 1) == (ba, False)
+    medium.add_link(2, 1, ba2)
+    assert medium.link_between(2, 1) == (ba2, False)
+    assert medium.link_between(1, 2) == (ab, False)
+    medium.add_link(3, 4, ab)
+    medium.add_link(3, 4, ba)
+    assert medium.link_between(4, 3) == (ba, True)
+    assert medium.link_between(1, 3) is None
+    assert medium.link_between(9, 1) is None
