@@ -3,14 +3,16 @@
 Grows a road-grid city 8 -> 32 -> 128 APs at fixed density (4 APs and
 8 vehicles per road segment) and measures aggregate simulation capacity
 -- client x sim-seconds per CPU-second -- at each size.  With the
-spatial link index and the per-(channel, cell) sharded collision
-domain, per-client cost is set by *local* density, so capacity should
-grow near-linearly with the fleet.
+spatial link index and the medium bucketed per (channel, cell),
+per-client cost is set by *local* density, so capacity should grow
+near-linearly with the fleet.
 
-At the 128-AP point the same scenario is rerun with both subsystems
-forced off (``sharded=False, link_index=False``): one global collision
-domain plus the all-pairs AP x client link matrix -- exactly the
-pre-subsystem architecture.  The sharded run must beat it by >= 3x.
+At the 128-AP point the same scenario is rerun as a single-shard
+control: ``cell_m=inf`` (one medium bucket per channel, so carrier
+sense, capture and receiver scans cover the whole city) plus a
+``link_range_m`` beyond the grid diagonal (with one index cell the AP
+index returns every AP in index order: the all-pairs AP x client link
+matrix).  The sharded run must beat it by >= 3x.
 
 The workload is uplink CBR ("udp-up"): every in-range AP overhears each
 client frame and tunnels it to the controller (the paper's
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import time
 
@@ -60,7 +63,13 @@ MIN_SCALING_VS_IDEAL = 0.7
 MIN_SINGLE_SHARD_RATIO = 3.0
 
 
-def _run_city(rows: int, cols: int, sharded: bool, link_index: bool,
+def _control_link_range_m(rows: int, cols: int) -> float:
+    """A link range past the grid diagonal: every AP is in range."""
+    block_m = CityConfig().block_m
+    return 2.0 * math.hypot(rows * block_m, cols * block_m)
+
+
+def _run_city(rows: int, cols: int, cell_m: float, link_range_m: float,
               repeats: int = 2):
     n_segments = rows * (cols - 1) + cols * (rows - 1)
     city = CityConfig(
@@ -68,9 +77,8 @@ def _run_city(rows: int, cols: int, sharded: bool, link_index: bool,
         cols=cols,
         aps_per_segment=APS_PER_SEGMENT,
         n_vehicles=n_segments * VEHICLES_PER_SEGMENT,
-        cell_m=CELL_M,
-        sharded=sharded,
-        link_index=link_index,
+        cell_m=cell_m,
+        link_range_m=link_range_m,
     )
     config = ExperimentConfig(seed=SEED, city=city)
     cpu_s = wall_s = float("inf")
@@ -96,8 +104,9 @@ def _run_city(rows: int, cols: int, sharded: bool, link_index: bool,
         "n_segments": n_segments,
         "n_aps": city.n_aps,
         "n_vehicles": city.n_vehicles,
-        "sharded": sharded,
-        "link_index": link_index,
+        # Strict JSON has no Infinity literal.
+        "cell_m": cell_m if math.isfinite(cell_m) else "inf",
+        "link_range_m": link_range_m,
         "cpu_s": cpu_s,
         "wall_s": wall_s,
         "capacity_client_sim_s_per_cpu_s": city.n_vehicles * DURATION_S / cpu_s,
@@ -120,14 +129,16 @@ def _warmup():
 
 def test_city_scaling_perf():
     _warmup()
-    series = [_run_city(rows, cols, True, True) for rows, cols in GRIDS]
+    link_range_m = CityConfig().link_range_m
+    series = [_run_city(rows, cols, CELL_M, link_range_m)
+              for rows, cols in GRIDS]
     for point in series:
         print(f"\n{point['grid']}: {point['n_aps']} APs, "
               f"{point['n_vehicles']} vehicles -> {point['cpu_s']:.1f}s CPU, "
               f"{point['capacity_client_sim_s_per_cpu_s']:.1f} "
               f"client-sim-s/cpu-s, {point['fleet_mbps']:.1f} Mb/s fleet")
 
-    single = _run_city(*GRIDS[-1], False, False)
+    single = _run_city(*GRIDS[-1], math.inf, _control_link_range_m(*GRIDS[-1]))
     big = series[-1]
     ratio = single["cpu_s"] / big["cpu_s"]
     scaling = (big["capacity_client_sim_s_per_cpu_s"]
@@ -168,7 +179,7 @@ def test_city_scaling_perf():
     assert scaling >= MIN_SCALING_VS_IDEAL, (
         f"capacity at 128 APs is {scaling:.2f}x the 8-AP point "
         f"(need >= {MIN_SCALING_VS_IDEAL})")
-    # The scaling walls were real: spatial index + sharded medium beat
+    # The scaling walls were real: spatial index + medium buckets beat
     # the pre-subsystem architecture by >= 3x at the 128-AP point.
     assert ratio >= MIN_SINGLE_SHARD_RATIO, (
         f"sharded run is only {ratio:.2f}x faster than the forced "

@@ -2,8 +2,10 @@
 
 Scales the single-road testbed to a road grid: waypoint vehicle
 mobility with seeded intersection turns, spatially-indexed link
-construction, a collision domain partitioned per (channel, cell), and
-one WGTT controller shard per road segment.  See ``EXPERIMENTS.md``
+construction, and one WGTT controller shard per road segment.  The
+collision domain is the one :class:`repro.mac.medium.Medium`, built with
+``CityConfig.cell_m`` so it buckets radios per (channel, cell) instead of
+the single road's one cell per channel.  See ``EXPERIMENTS.md``
 ("City-scale drives") for the scenario spec and the scaling benchmark.
 """
 
@@ -16,7 +18,6 @@ from .builder import (
 )
 from .config import DEFAULT_CHANNELS, CityConfig, coerce_city
 from .grid import RoadGrid, RoadSegment
-from .medium import MediumShard, ShardedMedium
 from .mobility import TURN_WEIGHTS, Leg, VehiclePlan, random_route
 from .runner import attach_city_flow, run_city_drive
 from .spatial import SpatialIndex
@@ -28,11 +29,9 @@ __all__ = [
     "CityVehicle",
     "DEFAULT_CHANNELS",
     "Leg",
-    "MediumShard",
     "RoadGrid",
     "RoadSegment",
     "SegmentController",
-    "ShardedMedium",
     "SpatialIndex",
     "TURN_WEIGHTS",
     "VehiclePlan",

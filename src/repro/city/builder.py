@@ -14,8 +14,8 @@ but scales its construction to a road grid:
   :class:`~repro.city.spatial.SpatialIndex` reports within
   ``link_range_m`` of the vehicle's route, replacing the all-pairs
   matrix;
-* the collision domain is a :class:`~repro.city.medium.ShardedMedium`
-  partitioned per (channel, cell) unless ``CityConfig.sharded`` is off;
+* the :class:`~repro.mac.medium.Medium` buckets the collision domain
+  per (channel, ``cell_m`` cell);
 * at every leg boundary the vehicle is handed between segments: the old
   controller releases it, its APs are flushed (twice -- a resweep
   catches a switch handshake that was in flight at the boundary), and
@@ -49,7 +49,6 @@ from ..policies import PolicyContext, create_policy
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
 from .grid import RoadGrid, RoadSegment
-from .medium import ShardedMedium
 from .mobility import VehiclePlan, random_route
 from .spatial import SpatialIndex
 
@@ -185,17 +184,11 @@ class CityNetwork:
         self.rng = np.random.default_rng(config.seed)
         self.trace = TraceRecorder(keep_kinds=config.trace_kinds,
                                    max_records=config.trace_max_records)
-        if city.sharded:
-            self.medium: Medium = ShardedMedium(
-                self.sim, np.random.default_rng([config.seed, 1]),
-                trace=self.trace, params=config.medium_params,
-                cell_m=city.cell_m,
-            )
-        else:
-            self.medium = Medium(
-                self.sim, np.random.default_rng([config.seed, 1]),
-                trace=self.trace, params=config.medium_params,
-            )
+        self.medium = Medium(
+            self.sim, np.random.default_rng([config.seed, 1]),
+            trace=self.trace, params=config.medium_params,
+            cell_m=city.cell_m,
+        )
         self.backhaul = Backhaul(
             self.sim, np.random.default_rng([config.seed, 2]),
             params=config.backhaul_params,
@@ -262,13 +255,11 @@ class CityNetwork:
                 np.random.default_rng([self.config.seed, 4_000_000 + ap_index]),
                 trace=self.trace, bssid=self.bssid, params=ap_params,
             )
-            ap.radio.channel = seg.channel
+            self.medium.retune(ap.radio, seg.channel)
             # City APs drop (rather than re-queue) aggregates that were
             # on the air when a flush ran: at fleet scale a post-flush
             # retry chain delivers frames deep out of order.
             ap.radio.strict_flush = True
-            if isinstance(self.medium, ShardedMedium):
-                self.medium.rebucket(ap.radio)
             self.aps.append(ap)
             self.ap_positions.append(position)
             self.segment_ap_ids[seg.index].append(node_id)
@@ -324,19 +315,12 @@ class CityNetwork:
             np.random.default_rng([config.seed, 6_000_000 + seq]),
             trace=self.trace, params=client_params,
         )
-        client.radio.channel = plan.legs[0].channel
-        if isinstance(self.medium, ShardedMedium):
-            self.medium.rebucket(client.radio)
+        self.medium.retune(client.radio, plan.legs[0].channel)
 
         # Links only to APs the route ever brings within link_range_m.
-        # With the index disabled, fall back to the all-pairs matrix the
-        # index replaces (the scaling benchmark's control arm).
-        if city.link_index:
-            ap_indices = self._ap_index.query_path(
-                self._route_samples(plan), city.link_range_m
-            )
-        else:
-            ap_indices = list(range(len(self.aps)))
+        ap_indices = self._ap_index.query_path(
+            self._route_samples(plan), city.link_range_m
+        )
         linked_aps = []
         for j, ap_index in enumerate(ap_indices):
             ap = self.aps[ap_index]
@@ -407,9 +391,7 @@ class CityNetwork:
         old_leg = vehicle.plan.legs[k - 1]
         new_leg = vehicle.plan.legs[k]
         self._release_from_segment(vehicle, old_leg.segment)
-        vehicle.client.radio.channel = new_leg.channel
-        if isinstance(self.medium, ShardedMedium):
-            self.medium.rebucket(vehicle.client.radio)
+        self.medium.retune(vehicle.client.radio, new_leg.channel)
         self.trace.emit(
             self.sim.now, "leg_transition", client=node_id,
             old_segment=old_leg.segment, new_segment=new_leg.segment,

@@ -42,19 +42,14 @@ class CityConfig:
     n_vehicles: int = 20
     speed_mph: float = 15.0
     channels: Tuple[int, ...] = field(default_factory=lambda: DEFAULT_CHANNELS)
-    #: Spatial-hash cell edge for the sharded medium and the AP index.
+    #: Spatial-hash cell edge for the medium's buckets and the AP index.
+    #: ``math.inf`` puts a whole channel in one bucket (one global
+    #: collision domain per channel).
     cell_m: float = 75.0
     #: Links are only constructed between a client and APs that come
     #: within this range of its route (the spatial index query radius).
+    #: A range beyond the grid diagonal links every client to every AP.
     link_range_m: float = 60.0
-    #: Partition the collision domain per (channel, cell).  Off forces
-    #: the single global medium (the scaling-benchmark control arm).
-    sharded: bool = True
-    #: Gate link construction on the spatial AP index.  Off builds the
-    #: all-pairs AP x client link matrix the index replaces; combined
-    #: with ``sharded=False`` this is the pre-subsystem configuration
-    #: the scaling benchmark uses as its forced single-shard control.
-    link_index: bool = True
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:

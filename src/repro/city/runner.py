@@ -146,8 +146,7 @@ def run_city_drive(
         "per_segment_mbps": per_segment_mbps,
         "fleet_mbps": float(sum(per_vehicle_mbps)),
     }
-    if hasattr(net.medium, "shard_stats"):
-        extras["shard_stats"] = net.medium.shard_stats()
+    extras["shard_stats"] = net.medium.shard_stats()
     return DriveResult(
         net=net,
         client=client0,

@@ -1,7 +1,9 @@
 """The shared wireless channel.
 
-All APs and clients operate on one 2.4 GHz channel (channel 11 in the
-testbed).  The medium model provides:
+All APs and clients of the testbed operate on one 2.4 GHz channel
+(channel 11); the multi-channel extension (paper section 7) and the
+city grid give adjacent arrays different channels.  The medium model
+provides:
 
 * **Channel access** -- CSMA/CA with DIFS + uniform backoff.  Carrier
   sense has finite range (computed from mean received power against a CS
@@ -20,13 +22,36 @@ testbed).  The medium model provides:
   contention inside the initiator's NAV window.  Multiple APs answering
   the same uplink aggregate can therefore collide at the client, which is
   exactly the effect Table 3 quantifies.
-"""
 
+**Spatial partition.**  Radios and on-air transmissions are bucketed per
+``(channel, cell_x, cell_y)`` on a square grid of edge ``cell_m``.
+Carrier sense, capture and receiver enumeration scan the 3x3
+neighbourhood of the querying radio's bucket, so a city's event cost
+follows local density rather than city size.  The neighbourhood is the
+cross-bucket coupling: a transmission in a boundary cell appears in
+queries from every adjacent cell, so deferral, the vulnerable window and
+capture work across cell edges exactly as within one cell.  The
+neighbourhood reaches one to two cells past the querying radio (75-150 m
+at the city default of 75 m), beyond street-level carrier sense
+(~43 m); the physics it cuts off is same-channel AP-to-AP leakage
+beyond that reach, which the free-space infra path would otherwise
+carry above the carrier-sense threshold for hundreds of metres.
+Mobile radios are re-bucketed every :data:`REBUCKET_INTERVAL_S`; a
+channel change goes through :meth:`Medium.retune`, which re-keys at once.
+
+The default ``cell_m=inf`` puts every radio of a channel in one bucket,
+whose neighbourhood is itself.  Its lists hold exactly the radios and
+transmissions a global scan would keep after its same-channel filter, in
+the same order as long as every retune follows its radio's registration
+(as the builders do), and motion never changes the cell, so no
+re-bucketing tick runs: the single-road drive fires the same events and
+draws the same random numbers as a medium with no partition at all.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +78,15 @@ Frame = Union[Ampdu, BlockAck, MgmtFrame, Beacon]
 
 #: Robust MCS used to model decoding of legacy-rate control/mgmt frames.
 CTRL_MCS = MCS_TABLE[0]
+
+#: Period of the mobile-radio re-bucketing tick: bounds a moving radio's
+#: bucket staleness to ~1 m of motion, which the 3x3 neighbourhood absorbs.
+REBUCKET_INTERVAL_S = 0.1
+
+BucketKey = Tuple[int, int, int]  # (channel, cell_x, cell_y)
+
+#: 3x3 neighbourhood offsets in fixed scan order (determinism).
+_NEIGHBORHOOD = tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
 
 
 @dataclass
@@ -81,13 +115,31 @@ class Transmission:
     data_end: float
     nav_end: float
     is_response: bool = False
+    #: The medium bucket this transmission is on the air in.
+    bucket: Optional["_Bucket"] = None
 
     def overlaps(self, other: "Transmission") -> bool:
         return self.t_start < other.data_end and other.t_start < self.data_end
 
 
+class _Bucket:
+    """Radios and on-air transmissions of one (channel, cell)."""
+
+    __slots__ = ("key", "radios", "active", "near")
+
+    def __init__(self, key: BucketKey):
+        self.key = key
+        #: node_id -> radio, insertion-ordered (dict semantics).
+        self.radios: Dict[int, object] = {}
+        #: Transmissions currently on the air from radios in this cell.
+        self.active: List[Transmission] = []
+        #: The 3x3 neighbourhood as bucket objects, built on first query.
+        self.near: Optional[List["_Bucket"]] = None
+
+
 class Medium:
-    """Single-channel wireless medium with spatial carrier sense."""
+    """Wireless medium with spatial carrier sense, bucketed per
+    ``(channel, cell)`` on a grid of edge ``cell_m``."""
 
     def __init__(
         self,
@@ -96,7 +148,10 @@ class Medium:
         trace: Optional[TraceRecorder] = None,
         timing: MacTiming = DEFAULT_TIMING,
         params: Optional[MediumParams] = None,
+        cell_m: float = math.inf,
     ):
+        if not cell_m > 0:
+            raise ValueError("cell_m must be positive")
         self.sim = sim
         self.rng = rng
         self.trace = trace if trace is not None else TraceRecorder(keep_kinds=set())
@@ -115,7 +170,11 @@ class Medium:
         # exponent).  Client-client coupling is street-level omni.
         self._infra_pathloss = LogDistancePathLoss(exponent=2.0)
         self._street_pathloss = LogDistancePathLoss(exponent=2.8, extra_loss_db=10.0)
-        self._active: List[Transmission] = []
+        self.cell_m = float(cell_m)
+        self._buckets: Dict[BucketKey, _Bucket] = {}
+        self._radio_bucket: Dict[int, _Bucket] = {}
+        #: Radios that move (clients), re-bucketed by the periodic tick.
+        self._mobile: List[object] = []
         self._pending_access: Dict[int, EventHandle] = {}
         self._retry_cw: Dict[int, int] = {}
         # Statistics
@@ -123,12 +182,24 @@ class Medium:
         self.response_transmissions = 0
         self.responses_suppressed = 0
         self.collisions = 0
+        self.rebuckets = 0
+        if math.isfinite(self.cell_m):
+            # An infinite cell never changes with motion: no tick needed.
+            sim.call_every(REBUCKET_INTERVAL_S, self._rebucket_mobile)
 
     # ---------------------------------------------------------- registration
     def register_radio(self, radio) -> None:
         if radio.node_id in self._radios:
             raise ValueError(f"radio {radio.node_id} already registered")
         self._radios[radio.node_id] = radio
+        self._rekey(radio)
+        if not radio.is_ap:
+            self._mobile.append(radio)
+
+    def retune(self, radio, channel: int) -> None:
+        """Move ``radio`` to ``channel`` and re-key its bucket at once."""
+        radio.channel = channel
+        self._rekey(radio)
 
     def add_link(self, ap_id: int, client_id: int, link: Link) -> None:
         self._peers.setdefault(ap_id, {})[client_id] = (link, False)
@@ -177,34 +248,93 @@ class Medium:
             return False  # 2.4 GHz channels 1/6/11 are orthogonal
         return self.rx_power_dbm(tx_radio, rx_radio, t) > self.params.cs_threshold_dbm
 
-    # ------------------------------------------------------- candidate hooks
-    # Subclasses with spatial partitioning (repro.city.ShardedMedium)
-    # override these five hooks to bound the sets scanned by carrier
-    # sense, capture, and reception.  The base implementations return the
-    # global sets in insertion order, so the default single-road medium
-    # is bit-identical to the pre-hook code.
-    def _activate(self, tx: Transmission) -> None:
-        """Record ``tx`` as on the air."""
-        self._active.append(tx)
+    # ------------------------------------------------------------ buckets
+    def _rekey(self, radio) -> _Bucket:
+        """File ``radio`` under its current (channel, cell); return the bucket."""
+        x, y, _ = radio.position(self.sim.now)
+        key = (
+            getattr(radio, "channel", 11),
+            math.floor(x / self.cell_m),
+            math.floor(y / self.cell_m),
+        )
+        old = self._radio_bucket.get(radio.node_id)
+        if old is not None:
+            if old.key == key:
+                return old
+            del old.radios[radio.node_id]
+            self.rebuckets += 1
+        bucket = self._bucket(key)
+        bucket.radios[radio.node_id] = radio
+        self._radio_bucket[radio.node_id] = bucket
+        return bucket
 
-    def _deactivate(self, tx: Transmission) -> None:
-        """Remove ``tx`` from the on-air set (idempotent)."""
-        try:
-            self._active.remove(tx)
-        except ValueError:  # pragma: no cover - defensive
-            pass
+    def _rebucket_mobile(self) -> None:
+        for radio in self._mobile:
+            self._rekey(radio)
+
+    def _bucket(self, key: BucketKey) -> _Bucket:
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = _Bucket(key)
+        return bucket
+
+    def _near(self, bucket: _Bucket) -> List[_Bucket]:
+        """Build ``bucket``'s 3x3 neighbourhood, or just ``bucket`` for
+        an infinite cell.  Bucket objects are never replaced, so the list
+        stays valid for the life of the run (callers read ``bucket.near``
+        first and call this only while it is unset)."""
+        if math.isfinite(self.cell_m):
+            channel, cx, cy = bucket.key
+            bucket.near = [
+                self._bucket((channel, cx + dx, cy + dy))
+                for dx, dy in _NEIGHBORHOOD
+            ]
+        else:
+            bucket.near = [bucket]
+        return bucket.near
+
+    def _activate(self, tx: Transmission) -> None:
+        """Put ``tx`` on the air in its radio's bucket."""
+        # A mobile radio's bucket is at most one tick stale (~1 m of
+        # motion); the 3x3 neighbourhood absorbs a one-cell-late key.
+        bucket = self._radio_bucket[tx.radio.node_id]
+        bucket.active.append(tx)
+        tx.bucket = bucket
 
     def _active_near(self, radio) -> List[Transmission]:
-        """Active transmissions that could be audible at ``radio``."""
-        return self._active
+        """On-air transmissions that could be audible at ``radio``."""
+        bucket = self._radio_bucket[radio.node_id]
+        near = bucket.near or self._near(bucket)
+        if len(near) == 1:
+            return near[0].active
+        out: List[Transmission] = []
+        for bucket in near:
+            if bucket.active:
+                out.extend(bucket.active)
+        return out
 
-    def _interference_candidates(self, tx: Transmission, rx_radio) -> List[Transmission]:
-        """Active transmissions that could interfere with ``tx`` at ``rx_radio``."""
-        return self._active
-
-    def _receiver_candidates(self, tx: Transmission) -> List[object]:
+    def _radios_near(self, tx: Transmission) -> Iterable[object]:
         """Radios that could possibly hear ``tx``."""
-        return list(self._radios.values())
+        near = tx.bucket.near or self._near(tx.bucket)
+        if len(near) == 1:
+            return near[0].radios.values()
+        out: List[object] = []
+        for bucket in near:
+            if bucket.radios:
+                out.extend(bucket.radios.values())
+        return out
+
+    def shard_stats(self) -> Dict[str, int]:
+        """Bucket occupancy counters for the benchmarks."""
+        occupied = [b for b in self._buckets.values() if b.radios]
+        return {
+            "shards": len(self._buckets),
+            "occupied_shards": len(occupied),
+            "max_radios_per_shard": max(
+                (len(b.radios) for b in occupied), default=0
+            ),
+            "rebuckets": self.rebuckets,
+        }
 
     def busy_until(self, radio, t: float) -> float:
         """Latest NAV end among transmissions audible to ``radio``."""
@@ -341,12 +471,12 @@ class Medium:
         self.sim.schedule_at(tx.nav_end + 1e-9, self._cleanup, tx)
 
     def _cleanup(self, tx: Transmission) -> None:
-        self._deactivate(tx)
+        tx.bucket.active.remove(tx)
 
     # -------------------------------------------------------------- reception
     def _interferers(self, tx: Transmission, rx_radio, t: float) -> List[Transmission]:
         out = []
-        for other in self._interference_candidates(tx, rx_radio):
+        for other in self._active_near(rx_radio):
             if other is tx or other.radio is tx.radio or other.radio is rx_radio:
                 continue
             if not self._same_channel(other.radio, rx_radio):
@@ -381,7 +511,7 @@ class Medium:
         same_channel = self._same_channel
         out = []
         if isinstance(frame, Beacon):
-            for radio in self._receiver_candidates(tx):
+            for radio in self._radios_near(tx):
                 if radio is tx_radio or radio.is_ap:
                     continue
                 if same_channel(tx_radio, radio):
@@ -389,13 +519,13 @@ class Medium:
         elif isinstance(frame, MgmtFrame):
             # Management frames are processed by any station that can
             # decode them (the baseline forwards overheard assoc frames).
-            for radio in self._receiver_candidates(tx):
+            for radio in self._radios_near(tx):
                 if radio is not tx_radio and same_channel(tx_radio, radio):
                     out.append(radio)
         else:
             dst = frame.dst
             from_client = not tx_radio.is_ap
-            for radio in self._receiver_candidates(tx):
+            for radio in self._radios_near(tx):
                 if radio is tx_radio:
                     continue
                 if not same_channel(tx_radio, radio):

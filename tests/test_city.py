@@ -1,7 +1,9 @@
 """Tests for the city-scale subsystem: config, grid, mobility, spatial
-index, sharded medium, and the end-to-end fleet drive."""
+index, the medium's (channel, cell) buckets, and the end-to-end fleet
+drive."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from repro.city import (
     DEFAULT_CHANNELS,
     CityConfig,
     RoadGrid,
-    ShardedMedium,
     SpatialIndex,
     VehiclePlan,
     coerce_city,
@@ -26,9 +27,11 @@ from repro.mobility.trajectory import AP_SETBACK_M, NEAR_LANE_Y_M, mph_to_mps
 class TestCityConfig:
     def test_json_roundtrip(self):
         city = CityConfig(rows=2, cols=4, aps_per_segment=3, n_vehicles=5,
-                          speed_mph=25.0, sharded=False)
+                          speed_mph=25.0)
         again = CityConfig.from_json(city.to_json())
         assert again == city
+        one_cell = CityConfig(rows=2, cols=2, cell_m=math.inf)
+        assert CityConfig.from_json(one_cell.to_json()) == one_cell
 
     def test_defaults_omitted_from_json(self):
         assert json.loads(CityConfig().to_json()) == {}
@@ -175,39 +178,41 @@ class TestSpatialIndex:
 
 # ---------------------------------------------------------------- medium
 class TestShardedMedium:
-    def _net(self, sharded=True):
-        city = CityConfig(rows=1, cols=2, aps_per_segment=2, n_vehicles=1,
-                          sharded=sharded)
+    """The city builds the one Medium with ``cell_m`` buckets."""
+
+    def _net(self):
+        city = CityConfig(rows=1, cols=2, aps_per_segment=2, n_vehicles=1)
         return build_network(ExperimentConfig(mode="wgtt", seed=0, city=city))
 
     def test_aps_bucketed_on_their_channel(self):
         net = self._net()
         medium = net.medium
-        assert isinstance(medium, ShardedMedium)
+        assert medium.cell_m == CityConfig().cell_m
         for ap in net.aps:
-            key = medium._radio_shard[ap.node_id]
+            key = medium._radio_bucket[ap.node_id].key
             assert key[0] == ap.radio.channel
 
     def test_receiver_candidates_stay_on_channel(self):
         net = self._net()
         medium = net.medium
         ap = net.aps[0]
-        key = medium._ensure_current(ap.radio)
-        channel, cx, cy = key
+        bucket = medium._radio_bucket[ap.node_id]
+        assert ap.radio in bucket.radios.values()
+        channel, cx, cy = bucket.key
         for dx, dy in ((-1, 0), (0, 0), (1, 0)):
-            shard = medium._shards.get((channel + 1, cx + dx, cy + dy))
-            assert shard is None or ap.radio not in shard.radios.values()
+            other = medium._buckets.get((channel + 1, cx + dx, cy + dy))
+            assert other is None or ap.radio not in other.radios.values()
 
     def test_rebucket_follows_channel_change(self):
         net = self._net()
         medium = net.medium
         ap = net.aps[0]
-        before = medium._radio_shard[ap.node_id]
-        ap.radio.channel = 161
-        medium.rebucket(ap.radio)
-        after = medium._radio_shard[ap.node_id]
+        before = medium._radio_bucket[ap.node_id].key
+        medium.retune(ap.radio, 161)
+        after = medium._radio_bucket[ap.node_id].key
+        assert ap.radio.channel == 161
         assert after[0] == 161 and after != before
-        assert ap.node_id not in medium._shards[before].radios
+        assert ap.node_id not in medium._buckets[before].radios
 
     def test_shard_stats_shape(self):
         stats = self._net().medium.shard_stats()
@@ -254,9 +259,12 @@ class TestCityDrive:
 
     def test_unsharded_medium_also_clean(self):
         city = CityConfig(rows=2, cols=2, aps_per_segment=4, n_vehicles=2,
-                          sharded=False)
+                          cell_m=math.inf)
         result = _drive(city, duration_s=3.0)
-        assert not isinstance(result.net.medium, ShardedMedium)
+        # One bucket per channel: the whole grid is one collision domain.
+        buckets = result.net.medium._buckets
+        assert all(key[1:] == (0, 0) for key in buckets)
+        assert all(b.near in (None, [b]) for b in buckets.values())
         assert result.throughput_mbps > 1.0
         result.net.invariants.assert_ok()
 
@@ -271,12 +279,14 @@ class TestCityDrive:
         assert summary.per_segment_mbps
 
     def test_link_index_off_builds_all_pairs(self):
+        # One index cell and a link range beyond the grid diagonal: the
+        # scaling benchmark's all-pairs control arm.
         city = CityConfig(rows=3, cols=3, aps_per_segment=4, n_vehicles=1,
-                          link_index=False)
+                          cell_m=math.inf, link_range_m=1000.0)
         result = _drive(city, duration_s=2.0, rate=2.0)
         vehicle = result.net.vehicles[0]
-        # The control-arm fallback links every client to every AP.
-        assert len(vehicle.linked_ap_ids) == result.net.n_aps
+        # Every client links to every AP, in AP index order.
+        assert vehicle.linked_ap_ids == [ap.node_id for ap in result.net.aps]
         result.net.invariants.assert_ok()
 
     def test_uplink_traffic_mode_delivers(self):
@@ -293,6 +303,46 @@ class TestCityDrive:
         with pytest.raises(ValueError):
             ExperimentConfig(mode="baseline",
                              city=CityConfig(rows=2, cols=2))
+
+
+#: Seeds of the partition differential below.
+DIFFERENTIAL_SEEDS = range(5)
+#: Seed-to-seed standard deviation of the fleet-mean per-vehicle
+#: throughput in that scenario, measured over seeds 0-7 in both arms
+#: (0.225 Mb/s at cell_m=75, 0.251 Mb/s at cell_m=inf).
+DIFFERENTIAL_SEED_SD_MBPS = 0.24
+#: Three standard errors of a difference of two 5-seed means:
+#: 3 * 0.24 * sqrt(2 / 5) = 0.455 Mb/s, about 11 % of the ~4.2 Mb/s mean.
+DIFFERENTIAL_TOLERANCE_MBPS = (
+    3 * DIFFERENTIAL_SEED_SD_MBPS * math.sqrt(2 / len(DIFFERENTIAL_SEEDS))
+)
+
+
+def test_cell_partition_matches_one_cell_per_channel():
+    """Partitioned (cell_m=75) and one-cell-per-channel (cell_m=inf)
+    cities draw different random numbers, so they are compared by
+    statistics, not digests: the fleet-mean per-vehicle throughput over
+    several seeds must agree within the seed-to-seed spread.
+
+    The load (4 vehicles x 4 Mb/s downlink on two segments) leaves the
+    channel unsaturated.  Under saturation the arms legitimately differ:
+    the partition drops same-channel AP-to-AP carrier sense beyond the
+    3x3 neighbourhood, which a one-cell medium keeps city-wide.
+    """
+    means = {}
+    for cell_m in (75.0, math.inf):
+        per_seed = []
+        for seed in DIFFERENTIAL_SEEDS:
+            city = CityConfig(rows=1, cols=3, aps_per_segment=4,
+                              n_vehicles=4, cell_m=cell_m)
+            config = ExperimentConfig(mode="wgtt", seed=seed, city=city)
+            result = run_city_drive(config, traffic="udp", udp_rate_mbps=4.0,
+                                    duration_s=2.5)
+            per_seed.append(np.mean(result.extras["per_vehicle_mbps"]))
+        means[cell_m] = float(np.mean(per_seed))
+    assert means[75.0] > 3.0
+    assert abs(means[75.0] - means[math.inf]) <= DIFFERENTIAL_TOLERANCE_MBPS, (
+        means, DIFFERENTIAL_TOLERANCE_MBPS)
 
 
 def test_city_acceptance_fleet_drive():

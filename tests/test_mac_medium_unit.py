@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.mac.medium import Medium
+from repro.mac.frames import Beacon
+from repro.mac.medium import Medium, Transmission
 from repro.phy.antenna import OmniAntenna, ParabolicAntenna
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
@@ -38,9 +39,10 @@ class StubRadio:
         pass
 
 
-def make_medium():
+def make_medium(**kwargs):
     sim = Simulator()
-    medium = Medium(sim, np.random.default_rng(0), trace=TraceRecorder())
+    medium = Medium(sim, np.random.default_rng(0), trace=TraceRecorder(),
+                    **kwargs)
     return sim, medium
 
 
@@ -103,11 +105,9 @@ def test_busy_until_reflects_audible_transmissions():
     b = StubRadio(2, (5.0, 0.0, 3.0))
     medium.register_radio(a)
     medium.register_radio(b)
-    from repro.mac.medium import Transmission
-    from repro.mac.frames import Beacon
 
     tx = Transmission(a, Beacon(src=1, bssid=1), 0.0, 0.001, 0.002)
-    medium._active.append(tx)
+    medium._activate(tx)
     assert medium.busy_until(b, 0.0) == pytest.approx(0.002)
     # After NAV end, idle again.
     assert medium.busy_until(b, 0.003) == 0.003
@@ -148,3 +148,62 @@ def test_link_between_direct_entry_beats_reverse_view():
     assert medium.link_between(4, 3) == (ba, True)
     assert medium.link_between(1, 3) is None
     assert medium.link_between(9, 1) is None
+
+
+def test_retune_rekeys_bucket():
+    _sim, medium = make_medium(cell_m=45.0)
+    a = StubRadio(1, (100.0, 10.0, 3.0), channel=11)
+    b = StubRadio(2, (110.0, 10.0, 3.0), channel=6)
+    medium.register_radio(a)
+    medium.register_radio(b)
+    old = medium._radio_bucket[a.node_id]
+    assert old.key == (11, 2, 0)
+    medium.retune(a, 6)
+    new = medium._radio_bucket[a.node_id]
+    assert a.channel == 6 and new.key == (6, 2, 0)
+    assert a.node_id not in old.radios
+    assert list(new.radios.values()) == [b, a]
+    assert medium.rebuckets == 1
+
+
+def test_mobile_radio_rebucketed_by_tick():
+    sim, medium = make_medium(cell_m=45.0)
+    client = StubRadio(1, (40.0, 0.0, 1.5), is_ap=False)
+    medium.register_radio(client)
+    assert medium._radio_bucket[1].key == (11, 0, 0)
+    client._pos = (50.0, 0.0, 1.5)
+    sim.run(until=0.15)
+    assert medium._radio_bucket[1].key == (11, 1, 0)
+
+
+def test_infinite_cell_is_one_bucket_per_channel():
+    sim, medium = make_medium()
+    radios = [StubRadio(i, (300.0 * i, -50.0 * i, 3.0), channel=11)
+              for i in range(1, 4)]
+    for r in radios:
+        medium.register_radio(r)
+    assert set(medium._buckets) == {(11, 0, 0)}
+    assert sim.pending_events == 0  # no re-bucketing tick
+    tx = Transmission(radios[0], Beacon(src=1, bssid=1), 0.0, 0.001, 0.002)
+    medium._activate(tx)
+    # The neighbourhood is the bucket itself: its lists, not copies.
+    bucket = medium._buckets[(11, 0, 0)]
+    assert medium._active_near(radios[2]) is bucket.active
+    assert list(medium._radios_near(tx)) == radios
+
+
+def test_channel_plan_drive_buckets_follow_radio_channel():
+    from repro.experiments.builder import ExperimentConfig, build_network
+
+    net = build_network(ExperimentConfig(mode="wgtt", seed=0,
+                                         channel_plan=[1, 6, 11]))
+    medium = net.medium
+    assert [ap.radio.channel for ap in net.aps[:3]] == [1, 6, 11]
+    for ap in net.aps:
+        assert medium._radio_bucket[ap.node_id].key[0] == ap.radio.channel
+    # Each bucket lists its channel's radios in registration order, the
+    # order a global scan with a same-channel filter would visit them.
+    for key, bucket in medium._buckets.items():
+        assert list(bucket.radios.values()) == [
+            r for r in medium.radios() if r.channel == key[0]
+        ]
